@@ -55,6 +55,7 @@ pub mod dual;
 mod error;
 pub mod fixtures;
 pub mod loi;
+mod memo;
 pub mod persist;
 pub mod privacy;
 pub mod search;

@@ -8,6 +8,7 @@
 //! Figure 19 ablation can disable it.
 
 use crate::concretize::{for_each_concretization, for_each_row_concretization};
+use crate::memo::{OccId, OccInterner, OccKey, Stamped, Versions};
 use crate::sharded::ShardedMap;
 use crate::{AbsRow, Bound};
 use provabs_relational::{ConcreteRow, Cq, Ucq};
@@ -17,7 +18,7 @@ use provabs_reveng::{
 };
 use provabs_semiring::{AnnotId, SemiringKind};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// The query class against which privacy is measured (Table 4 rows).
@@ -156,8 +157,8 @@ pub struct PrivacyCache {
     /// [`OccId`] instead of hashed owned annotation vectors, so repeat
     /// lookups hash a handful of `u32`s rather than whole concretizations.
     occs: OccInterner,
-    consistent: ShardedMap<ConcKey, Vec<Stamped<Arc<Vec<Cq>>>>>,
-    connectivity: ShardedMap<OccId, Vec<Stamped<bool>>>,
+    consistent: ShardedMap<ConcKey, Versions<Arc<Vec<Cq>>>>,
+    connectivity: ShardedMap<OccId, Versions<bool>>,
     /// Sorted invalidation epochs per occurrence id (fed by
     /// [`PrivacyCache::invalidate_at`]): the lifetime fences a late insert
     /// by a pinned old-epoch reader must not outlive.
@@ -167,7 +168,7 @@ pub struct PrivacyCache {
 /// The lock hierarchy of the cache (enforced by the schedule-enumeration
 /// harness's lock-order audit): a `consistent` / `connectivity` shard may be
 /// held while a `retirements` shard is acquired — the value stores read the
-/// retirement fences from inside their shard `update` — never the reverse,
+/// retirement fences from inside their shard `upsert` — never the reverse,
 /// and the interner's shards nest inside nothing.
 impl Default for PrivacyCache {
     fn default() -> Self {
@@ -180,83 +181,6 @@ impl Default for PrivacyCache {
     }
 }
 
-/// One cached value version: valid for epochs `born <= e < dead`
-/// (`dead == u64::MAX` means still live).
-#[derive(Debug, Clone)]
-struct Stamped<V> {
-    born: u64,
-    dead: u64,
-    value: V,
-}
-
-/// The version of `vs` visible at `epoch`. Versions may overlap when a
-/// pinned old-epoch reader inserts after later versions exist; the
-/// max-born rule picks deterministically (overlapping versions hold equal
-/// values — both were computed from the same snapshot state).
-fn version_at<V: Clone>(vs: &[Stamped<V>], epoch: u64) -> Option<V> {
-    vs.iter()
-        .filter(|s| s.born <= epoch && epoch < s.dead)
-        .max_by_key(|s| s.born)
-        .map(|s| s.value.clone())
-}
-
-/// Ends, at `epoch`, the life of every version born before it.
-fn clamp<V>(vs: &mut [Stamped<V>], epoch: u64) {
-    for s in vs {
-        if s.born < epoch && s.dead > epoch {
-            s.dead = epoch;
-        }
-    }
-}
-
-/// An interned sorted occurrence list (id space private to one
-/// [`PrivacyCache`]).
-type OccId = u32;
-
-/// A sharded interner: sorted occurrence vector → dense-ish id. First
-/// insert wins under races, so every equal vector resolves to one canonical
-/// id (racing workers may burn a counter value — ids stay unique, which is
-/// all the keying needs).
-#[derive(Debug)]
-struct OccInterner {
-    ids: ShardedMap<Vec<AnnotId>, OccId>,
-    next: AtomicU32,
-}
-
-impl Default for OccInterner {
-    fn default() -> Self {
-        Self {
-            ids: ShardedMap::labeled("privacy.occs.shard"),
-            next: AtomicU32::default(),
-        }
-    }
-}
-
-impl OccInterner {
-    fn intern(&self, key: Vec<AnnotId>) -> OccId {
-        if let Some(id) = self.ids.get(&key) {
-            return id;
-        }
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.ids.insert(key, id)
-    }
-
-    /// Drops every interned list intersecting `touched`, returning the
-    /// evicted ids.
-    fn invalidate(&self, touched: &HashSet<AnnotId>) -> HashSet<OccId> {
-        let mut evicted = HashSet::new();
-        self.ids.retain_kv(|key, &id| {
-            if key.iter().any(|a| touched.contains(a)) {
-                evicted.insert(id);
-                false
-            } else {
-                true
-            }
-        });
-        evicted
-    }
-}
-
 impl PrivacyCache {
     /// An empty cache.
     pub fn new() -> Self {
@@ -266,6 +190,49 @@ impl PrivacyCache {
     /// Number of cached concretizations.
     pub fn len(&self) -> usize {
         self.consistent.len()
+    }
+
+    /// Number of interned occurrence lists — one per distinct row
+    /// concretization the cache has keyed, connected or not. Unlike
+    /// [`PrivacyCache::len`], which counts only the consistency entries of
+    /// connected concretizations, this tracks the bulk of the memo.
+    ///
+    /// ```
+    /// use provabs_core::privacy::PrivacyCache;
+    /// use provabs_semiring::AnnotId;
+    ///
+    /// let cache = PrivacyCache::new();
+    /// let (a, b) = (AnnotId(1), AnnotId(2));
+    /// cache.connectivity_record(&[b, a], 0, false);
+    /// cache.connectivity_record(&[a, b], 0, false); // same set, same key
+    /// cache.connectivity_record(&[a], 0, true);
+    /// assert_eq!(cache.interned_len(), 2);
+    /// assert_eq!(cache.len(), 0); // no consistency entry was made
+    /// ```
+    pub fn interned_len(&self) -> usize {
+        self.occs.len()
+    }
+
+    /// Number of memoized connectivity verdicts (one per occurrence list,
+    /// however many epoch versions it holds).
+    ///
+    /// ```
+    /// use provabs_core::privacy::{compute_privacy, PrivacyCache, PrivacyConfig};
+    /// use provabs_core::{fixtures, Abstraction, Bound};
+    ///
+    /// let fx = fixtures::running_example();
+    /// let bound = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
+    /// let rows = Abstraction::identity(&bound).apply(&bound).rows;
+    /// let cfg = PrivacyConfig { threshold: 1, ..Default::default() };
+    /// let cache = PrivacyCache::new();
+    /// compute_privacy(&bound, &rows, &cfg, &cache);
+    /// // Every row concretization got a verdict, and every verdict's list
+    /// // is interned; the consistency entries are a subset.
+    /// assert!(cache.connectivity_len() > 0);
+    /// assert!(cache.connectivity_len() <= cache.interned_len());
+    /// ```
+    pub fn connectivity_len(&self) -> usize {
+        self.connectivity.len()
     }
 
     /// Whether nothing is cached.
@@ -319,12 +286,7 @@ impl PrivacyCache {
             return;
         }
         // Affected ids, *without* evicting them from the interner.
-        let mut affected: HashSet<OccId> = HashSet::new();
-        self.occs.ids.for_each(|key, &id| {
-            if key.iter().any(|a| touched.contains(a)) {
-                affected.insert(id);
-            }
-        });
+        let affected = self.occs.intersecting(touched);
         if affected.is_empty() {
             return;
         }
@@ -341,63 +303,67 @@ impl PrivacyCache {
         }
         self.connectivity.for_each_mut(|id, vs| {
             if affected.contains(id) {
-                clamp(vs, epoch);
+                vs.clamp(epoch);
             }
         });
         self.consistent.for_each_mut(|key, vs| {
             if key.iter().any(|(_, id)| affected.contains(id)) {
-                clamp(vs, epoch);
+                vs.clamp(epoch);
             }
         });
     }
 
     /// The cached connectivity of `id` as seen at `epoch`.
     fn connectivity_at(&self, id: OccId, epoch: u64) -> Option<bool> {
-        self.connectivity
-            .read(&id, |vs| version_at(vs, epoch))
-            .flatten()
+        self.connectivity.read(&id, |vs| vs.at(epoch)).flatten()
     }
 
     /// Stores `value` as the connectivity of `id` at `epoch` (first insert
     /// wins) and returns the canonical stored value.
     fn store_connectivity(&self, id: OccId, epoch: u64, value: bool) -> bool {
-        self.connectivity.update(id, Vec::new, |vs| {
-            if let Some(v) = version_at(vs, epoch) {
-                return v;
-            }
-            let dead = self.retirement_after(&[id], epoch);
-            vs.push(Stamped {
-                born: epoch,
-                dead,
-                value,
-            });
-            value
-        })
+        self.store_version(&self.connectivity, id, &[id], epoch, value)
     }
 
     /// The cached consistent queries of `key` as seen at `epoch`.
     fn consistent_at(&self, key: &ConcKey, epoch: u64) -> Option<Arc<Vec<Cq>>> {
-        self.consistent
-            .read(key, |vs| version_at(vs, epoch))
-            .flatten()
+        self.consistent.read(key, |vs| vs.at(epoch)).flatten()
     }
 
     /// Stores `value` under `key` at `epoch` (first insert wins) and
     /// returns the canonical stored value.
     fn store_consistent(&self, key: ConcKey, epoch: u64, value: Arc<Vec<Cq>>) -> Arc<Vec<Cq>> {
         let ids: Vec<OccId> = key.iter().map(|&(_, id)| id).collect();
-        self.consistent.update(key, Vec::new, |vs| {
-            if let Some(v) = version_at(vs, epoch) {
-                return v;
-            }
-            let dead = self.retirement_after(&ids, epoch);
-            vs.push(Stamped {
-                born: epoch,
-                dead,
-                value: Arc::clone(&value),
-            });
-            value
-        })
+        self.store_version(&self.consistent, key, &ids, epoch, value)
+    }
+
+    /// Stores `value` under `key` of `map` as the version born at `epoch`,
+    /// unless a version is already visible there (first insert wins), and
+    /// returns the canonical stored value. The version dies at the first
+    /// retirement fence of `ids` after `epoch`, read under the shard lock.
+    fn store_version<K: Eq + Hash, V: Clone>(
+        &self,
+        map: &ShardedMap<K, Versions<V>>,
+        key: K,
+        ids: &[OccId],
+        epoch: u64,
+        value: V,
+    ) -> V {
+        let stamp = |value| Stamped {
+            born: epoch,
+            dead: self.retirement_after(ids, epoch),
+            value,
+        };
+        map.upsert(
+            key,
+            || (Versions::One(stamp(value.clone())), value.clone()),
+            |vs| {
+                if let Some(v) = vs.at(epoch) {
+                    return v;
+                }
+                vs.push(stamp(value.clone()));
+                value.clone()
+            },
+        )
     }
 
     /// The connectivity verdict cached for the occurrence list `occs` as
@@ -409,8 +375,12 @@ impl PrivacyCache {
     /// this pair (see `provabsd`'s sched suite), and service health checks
     /// can use it to verify fence behavior without running a full privacy
     /// evaluation.
+    ///
+    /// `occs` may come in any order: like Algorithm 1 itself, the probe
+    /// keys on the sorted list, so it sees every verdict stored for the
+    /// same annotations.
     pub fn connectivity_probe(&self, occs: &[AnnotId], epoch: u64) -> Option<bool> {
-        let id = self.occs.ids.get_borrowed(occs)?;
+        let id = self.occs.lookup(OccKey::sorted(occs).as_slice())?;
         self.connectivity_at(id, epoch)
     }
 
@@ -418,9 +388,9 @@ impl PrivacyCache {
     /// (first insert per epoch wins; the canonical stored value is
     /// returned). The version is born at `epoch` and dies at the earliest
     /// retirement fence recorded after it, exactly like the internal store
-    /// path.
+    /// path. `occs` may come in any order; it is keyed sorted.
     pub fn connectivity_record(&self, occs: &[AnnotId], epoch: u64, value: bool) -> bool {
-        let id = self.occs.intern(occs.to_vec());
+        let id = self.occs.intern(OccKey::sorted(occs));
         self.store_connectivity(id, epoch, value)
     }
 
@@ -492,7 +462,8 @@ fn containment_mode(cfg: &PrivacyConfig) -> ContainmentMode {
     ContainmentMode::for_semiring(cfg.semiring)
 }
 
-/// Row connectivity with caching.
+/// Row connectivity with caching. The probe sorts into a stack-held
+/// [`OccKey`] and looks it up by slice; only a miss that interns stores it.
 fn row_connected(
     bound: &Bound<'_>,
     occs: &[AnnotId],
@@ -503,11 +474,7 @@ fn row_connected(
     if !cfg.connectivity_filter {
         return true;
     }
-    let key = cfg.caching.then(|| {
-        let mut sorted: Vec<AnnotId> = occs.to_vec();
-        sorted.sort_unstable();
-        cache.occs.intern(sorted)
-    });
+    let key = cfg.caching.then(|| cache.occs.intern(OccKey::sorted(occs)));
     if let Some(id) = key {
         if let Some(c) = cache.connectivity_at(id, cfg.epoch) {
             stats.connectivity_cache_hits += 1;
@@ -535,9 +502,10 @@ fn consistent_of(
         conc.iter()
             .enumerate()
             .map(|(r, occs)| {
-                let mut sorted = occs.clone();
-                sorted.sort_unstable();
-                (abs_rows[r].output.clone(), cache.occs.intern(sorted))
+                (
+                    abs_rows[r].output.clone(),
+                    cache.occs.intern(OccKey::sorted(occs)),
+                )
             })
             .collect()
     });
@@ -1051,6 +1019,39 @@ mod tests {
         assert_eq!(e1b.stats.consistency_cache_misses, 0);
         let e0 = compute_privacy(&b, &rows, &at_epoch(0), &cache);
         assert_eq!(e0.stats.consistency_cache_misses, 0);
+    }
+
+    #[test]
+    fn connectivity_api_is_order_insensitive() {
+        let (a, b) = (provabs_semiring::AnnotId(1), provabs_semiring::AnnotId(2));
+        let cache = PrivacyCache::new();
+        assert!(cache.connectivity_record(&[b, a], 0, true));
+        assert_eq!(cache.connectivity_probe(&[a, b], 0), Some(true));
+        // Recording the other order finds the stored verdict instead of
+        // minting a second key for the same set.
+        assert!(cache.connectivity_record(&[a, b], 0, false));
+        assert_eq!(cache.interned_len(), 1);
+
+        // Verdicts stored by Algorithm 1 are visible in any order.
+        let fx = running_example();
+        let bound = Bound::new(&fx.db, &fx.tree, &fx.exreal).unwrap();
+        let rows = Abstraction::identity(&bound).apply(&bound).rows;
+        let cfg = PrivacyConfig {
+            threshold: 1,
+            ..Default::default()
+        };
+        let cache = PrivacyCache::new();
+        compute_privacy(&bound, &rows, &cfg, &cache);
+        for r in 0..bound.num_rows() {
+            let mut occs = bound.row_occurrences(r).to_vec();
+            assert!(occs.len() > 1, "row {r} must exercise reordering");
+            let stored = cache.connectivity_probe(&occs, 0);
+            assert!(stored.is_some(), "row {r}: verdict not visible");
+            occs.reverse();
+            assert_eq!(cache.connectivity_probe(&occs, 0), stored, "row {r}");
+            occs.sort_unstable();
+            assert_eq!(cache.connectivity_probe(&occs, 0), stored, "row {r}");
+        }
     }
 
     #[test]

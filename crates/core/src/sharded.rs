@@ -50,7 +50,7 @@ impl<K, V> ShardedMap<K, V> {
     /// A map whose shard locks carry `label` in schedule traces and in the
     /// lock-order audit graph. Maps that nest (one acquired while a shard of
     /// another is held — e.g. the privacy cache's value stores reading the
-    /// retirement fences from inside an `update`) must use distinct labels
+    /// retirement fences from inside an `upsert`) must use distinct labels
     /// so the audit sees the hierarchy instead of a self-edge.
     pub fn labeled(label: &'static str) -> Self {
         Self {
@@ -126,6 +126,28 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     pub fn update<R>(&self, key: K, default: impl FnOnce() -> V, f: impl FnOnce(&mut V) -> R) -> R {
         let mut shard = self.shard(&key).write().expect("shard lock poisoned");
         f(shard.entry(key).or_insert_with(default))
+    }
+
+    /// [`ShardedMap::update`] for values with no empty state: under the
+    /// shard write lock, runs `present` on the value under `key`, or — when
+    /// the key is absent — stores the value `absent` builds next to its
+    /// result. One write-lock acquisition either way, like `update`.
+    pub fn upsert<R>(
+        &self,
+        key: K,
+        absent: impl FnOnce() -> (V, R),
+        present: impl FnOnce(&mut V) -> R,
+    ) -> R {
+        use std::collections::hash_map::Entry;
+        let mut shard = self.shard(&key).write().expect("shard lock poisoned");
+        match shard.entry(key) {
+            Entry::Occupied(mut e) => present(e.get_mut()),
+            Entry::Vacant(e) => {
+                let (value, r) = absent();
+                e.insert(value);
+                r
+            }
+        }
     }
 
     /// Visits every entry, shard by shard, under shard read locks. The
